@@ -12,30 +12,41 @@
 //	aqosd -listen :8080 -total 26 -failure-rate 0.23 -besteffort-frac 0.19
 //	aqosd -listen :8080 -total 26 -wal-dir /var/lib/aqosd/wal   # durable: restart recovers sessions
 //	aqosd -listen :8080 -total 26 -intake                       # group-commit admission batching
+//
+// SIGINT or SIGTERM shuts the daemon down cleanly: the listener stops,
+// in-flight requests get a grace period to finish, and the stack closes —
+// queued intake admissions are answered and the WAL is sealed.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"gqosm"
 	"gqosm/internal/core"
+	"gqosm/internal/soapx"
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "aqosd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context) error {
 	var (
 		listen     = flag.String("listen", ":8080", "HTTP listen address")
 		domain     = flag.String("domain", "site-a", "administrative domain name")
@@ -116,10 +127,13 @@ func run() error {
 		log.Printf("aqosd: recovered %d session(s) from %s (replayed %d record(s), adopted %d, refunded %d reservation(s))",
 			r.Sessions, *walDir, r.ReplayedRecords, r.Adopted, r.Refunded)
 	}
-	defer stack.Close()
 	_ = service // the default stack advertisement covers the service name
 
-	handler := newHandler(stack, peers)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		stack.Close()
+		return err
+	}
 
 	mode := "direct"
 	if *intake {
@@ -130,8 +144,15 @@ func run() error {
 			stack.Broker.PolicyName(), stack.Broker.ShadowPolicyName())
 	}
 	log.Printf("aqosd: domain %q serving SOAP + JSON (/api/v1/) on %s (plan G=%v A=%v B=%v, admission %s)",
-		*domain, *listen, plan.Guaranteed, plan.Adaptive, plan.BestEffort, mode)
-	return http.ListenAndServe(*listen, handler)
+		*domain, ln.Addr(), plan.Guaranteed, plan.Adaptive, plan.BestEffort, mode)
+	return serve(ctx, ln, stack, newHandler(stack, peers))
+}
+
+// serve answers HTTP on ln until ctx is done or the server fails, then
+// closes the stack. It returns once the stack is closed.
+func serve(ctx context.Context, ln net.Listener, stack *gqosm.Stack, handler http.Handler) error {
+	defer stack.Close()
+	return soapx.Serve(ctx, ln, handler)
 }
 
 // newHandler assembles the daemon's full HTTP surface: the SOAP endpoints

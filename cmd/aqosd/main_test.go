@@ -1,7 +1,10 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -151,5 +154,67 @@ func TestProfilerMounted(t *testing.T) {
 	}
 	if body := scrape(t, url+"/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("pprof index lacks goroutine profile: %q", body)
+	}
+}
+
+// TestServeShutdownClosesStack cancels the serve context, as SIGTERM
+// does, and checks that serve returns only after the stack is closed:
+// the broker refuses new work and its sealed WAL recovers the session
+// admitted before shutdown.
+func TestServeShutdownClosesStack(t *testing.T) {
+	dir := t.TempDir()
+	cfg := gqosm.StackConfig{
+		Domain:        "site-a",
+		Plan:          gqosm.CapacityPlan{Guaranteed: gqosm.Nodes(10), BestEffort: gqosm.Nodes(2)},
+		ConfirmWindow: time.Hour,
+		WALDir:        dir,
+		Intake:        gqosm.IntakeConfig{Enabled: true},
+	}
+	stack, err := gqosm.NewStack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, ln, stack, newHandler(stack, nil)) }()
+
+	now := time.Now()
+	req := core.Request{
+		Service: "simulation", Client: "shutdown", Class: sla.ClassGuaranteed,
+		Spec:  gqosm.NewSpec(gqosm.Exact(gqosm.CPU, 2)),
+		Start: now, End: now.Add(time.Hour),
+	}
+	if _, err := core.NewClient("http://" + ln.Addr().String() + "/").RequestService(req); err != nil {
+		t.Fatal(err)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("serve did not return after the context was canceled")
+	}
+	if _, err := stack.Broker.RequestService(req); !errors.Is(err, core.ErrClosed) {
+		t.Errorf("request after shutdown: err = %v, want ErrClosed", err)
+	}
+	if _, err := http.Get("http://" + ln.Addr().String() + "/status"); err == nil {
+		t.Error("listener still answers after shutdown")
+	}
+
+	again, err := gqosm.NewStack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.Recovery == nil || again.Recovery.Sessions != 1 {
+		t.Errorf("recovery after shutdown = %+v, want the 1 admitted session", again.Recovery)
 	}
 }

@@ -7,16 +7,21 @@
 //	registryd -listen :8081 -seed services.xml
 //
 // The optional seed file holds a <serviceList> of <Service> entries to
-// pre-register.
+// pre-register. SIGINT or SIGTERM stops the server after in-flight
+// requests finish.
 package main
 
 import (
+	"context"
 	"encoding/xml"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"gqosm/internal/clockx"
 	"gqosm/internal/faultx"
@@ -25,13 +30,15 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "registryd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context) error {
 	var (
 		listen    = flag.String("listen", ":8081", "HTTP listen address")
 		seed      = flag.String("seed", "", "optional XML file of services to pre-register")
@@ -69,8 +76,12 @@ func run() error {
 			fmt.Fprintf(w, "%s  %s (provider %s, %d properties)\n", s.Key, s.Name, s.Provider, len(s.Properties))
 		}
 	})
-	log.Printf("registryd: serving on %s", *listen)
-	return http.ListenAndServe(*listen, httpMux)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
+	}
+	log.Printf("registryd: serving on %s", ln.Addr())
+	return soapx.Serve(ctx, ln, httpMux)
 }
 
 type seedFile struct {

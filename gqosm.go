@@ -169,10 +169,6 @@ type StackConfig struct {
 	// adaptation (share boosts) before AQoS-level adaptation on CPU
 	// degradation (§3.2).
 	DSRTProcessors int
-	// RepoDir, when set, persists established SLAs as Table-4 XML files
-	// in that directory (the paper's SLA repository); otherwise SLAs are
-	// kept in memory.
-	RepoDir string
 	// MonitorInterval, when positive, starts a periodic QoS-management
 	// monitor (NRM checks, session expiry, optimizer passes) at that
 	// interval; Close stops it.
@@ -181,12 +177,8 @@ type StackConfig struct {
 	// independently locked allocators behind a least-loaded placement
 	// layer (default 1, the classic monolithic domain).
 	Shards int
-	// EventLogCap bounds the broker's in-memory activity log (default
-	// 8192 events; oldest evicted first).
-	EventLogCap int
-	// Obs receives metrics and lifecycle traces from every component;
-	// nil creates a private registry, reachable via Stack.Obs. Mount
-	// serves it on /metrics.
+	// Obs receives metrics from every component; nil creates a private
+	// registry, reachable via Stack.Obs. Mount serves it on /metrics.
 	Obs *obs.Registry
 	// Faults, when non-nil, is installed on every substrate (GARA
 	// managers, GRAM, the NRM, the SOAP server mux) and on the broker's
@@ -324,16 +316,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		attachJobs(gramM, sched, adapter, cfg.DSRTProcessors)
 	}
 
-	var repo sla.Repository
-	if cfg.RepoDir != "" {
-		fileRepo, err := sla.NewFileRepository(cfg.RepoDir)
-		if err != nil {
-			gramM.Close()
-			return nil, err
-		}
-		repo = fileRepo
-	}
-
 	brokerCfg := core.Config{
 		Domain:           cfg.Domain,
 		Clock:            clock,
@@ -344,11 +326,9 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		NRM:              netMgr,
 		MDS:              dir,
 		RM:               rmOrNil(adapter),
-		Repo:             repo,
 		ConfirmWindow:    cfg.ConfirmWindow,
 		MinOptimizerGain: cfg.MinOptimizerGain,
 		Shards:           cfg.Shards,
-		EventLogCap:      cfg.EventLogCap,
 		Obs:              cfg.Obs,
 		Faults:           cfg.Faults,
 		RMPolicy:         cfg.RMPolicy,

@@ -8,6 +8,7 @@ import (
 	"gqosm/internal/clockx"
 	"gqosm/internal/core"
 	"gqosm/internal/gara"
+	"gqosm/internal/gram"
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
@@ -18,9 +19,9 @@ var (
 	ct5 = ct0.Add(5 * time.Hour)
 )
 
-// member builds one in-process cluster member: its own pool, GARA and
-// registry (the shape a separate aqosd process owns), advertising the
-// shared "svc" service.
+// member builds one in-process cluster member: its own pool, GARA, GRAM
+// and registry (the shape a separate aqosd process owns), advertising
+// the shared "svc" service.
 func member(t *testing.T, domain string, nodes float64) *core.Broker {
 	t.Helper()
 	clock := clockx.NewManual(ct0)
@@ -35,6 +36,8 @@ func member(t *testing.T, domain string, nodes float64) *core.Broker {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	gramM := gram.NewManager(clock)
+	t.Cleanup(gramM.Close)
 	b, err := core.NewBroker(core.Config{
 		Domain: domain,
 		Clock:  clock,
@@ -45,6 +48,7 @@ func member(t *testing.T, domain string, nodes float64) *core.Broker {
 		},
 		Registry:      reg,
 		GARA:          g,
+		GRAM:          gramM,
 		ConfirmWindow: time.Hour,
 	})
 	if err != nil {

@@ -45,11 +45,6 @@ type Finder interface {
 	Find(q registry.Query) ([]*registry.Service, error)
 }
 
-// DefEventLogCap bounds the broker activity log when Config.EventLogCap
-// is unset: enough to hold the recent history of a busy domain while
-// keeping the ring's footprint fixed.
-const DefEventLogCap = 8192
-
 // Config assembles a Broker.
 type Config struct {
 	// Domain names the administrative domain the broker serves.
@@ -101,13 +96,8 @@ type Config struct {
 	// RangeSteps discretizes controlled-load ranges for the optimizer
 	// (default 4).
 	RangeSteps int
-	// EventLogCap bounds the activity log ring (default DefEventLogCap).
-	// When the ring is full the oldest events are evicted;
-	// Broker.EventsTotal reports how many were ever logged.
-	EventLogCap int
-	// Obs receives the broker's metrics and lifecycle traces. Nil
-	// creates a private registry, so instrumentation is always live and
-	// reachable through Broker.Obs().
+	// Obs receives the broker's metrics. Nil creates a private registry,
+	// so instrumentation is always live and reachable through Broker.Obs().
 	Obs *obs.Registry
 	// Faults injects failures at the broker's RM-facing call sites
 	// ("gara.create", "gara.modify", "gara.cancel", "gara.bind",
@@ -135,22 +125,6 @@ type Config struct {
 	// gqosm_shadow_divergence_total{family}; live decisions are never
 	// affected.
 	ShadowPolicy string
-}
-
-// Event is one entry of the broker activity log (the Fig. 6 console).
-type Event struct {
-	At   time.Time
-	Kind string
-	SLA  sla.ID
-	Msg  string
-}
-
-// String renders the event as a log line.
-func (e Event) String() string {
-	if e.SLA != "" {
-		return fmt.Sprintf("%s [%s] (%s) %s", e.At.Format("15:04:05"), e.Kind, e.SLA, e.Msg)
-	}
-	return fmt.Sprintf("%s [%s] %s", e.At.Format("15:04:05"), e.Kind, e.Msg)
 }
 
 // session is the broker's live state for one SLA.
@@ -183,7 +157,7 @@ type session struct {
 // Per-session operations route through the shard that admitted the SLA
 // (sh.mu → sh.alloc.mu → leaf locks); the coordinator itself owns only
 // the global SLA counter (nextID), the routing table (routeMu), the
-// best-effort pin table (beMu), the activity log ring (evMu) and the
+// best-effort pin table (beMu), the activity log ring (events.mu) and the
 // debug hook (debugMu) — all leaf locks, each with its own
 // synchronization, so hot paths on different shards never contend.
 // Components the broker calls while holding a shard lock (allocator,
@@ -216,20 +190,9 @@ type Broker struct {
 	beMu    sync.Mutex
 	beRoute map[string]*shard
 
-	// evMu guards the activity log ring. It is a leaf lock: safe to take
-	// with or without a shard lock held, never held while acquiring
-	// another lock.
-	evMu    sync.Mutex
-	evBuf   []Event
-	evNext  int   // index the next event is written to
-	evTotal int64 // events ever logged, including evicted ones
-	// evSnap caches the flattened, oldest-first snapshot Events() built
-	// last time, valid while evTotal == evSnapTotal. It is immutable once
-	// built — logf never writes into it, only into evBuf — so Events()
-	// can hand it out shared instead of copying the whole ring on every
-	// call (the invariant oracle reads it after every mutating op).
-	evSnap      []Event
-	evSnapTotal int64
+	// events is the activity log ring (see events.go), the broker's one
+	// record of what happened to each session.
+	events *eventRing
 
 	// debugMu guards debugHook, the optional post-operation invariant
 	// check installed by SetDebugHook.
@@ -362,9 +325,6 @@ func newBroker(cfg Config) (*Broker, error) {
 	if cfg.RangeSteps <= 0 {
 		cfg.RangeSteps = 4
 	}
-	if cfg.EventLogCap <= 0 {
-		cfg.EventLogCap = DefEventLogCap
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
@@ -391,7 +351,7 @@ func newBroker(cfg Config) (*Broker, error) {
 		repo:           cfg.Repo,
 		route:          make(map[sla.ID]*shard),
 		beRoute:        make(map[string]*shard),
-		evBuf:          make([]Event, 0, cfg.EventLogCap),
+		events:         newEventRing(DefEventLogCap),
 		obs:            cfg.Obs,
 		pendingCancels: make(map[sla.ID]gara.Handle),
 		handoffs:       make(map[sla.ID]handoffIntent),
@@ -567,36 +527,17 @@ func (b *Broker) Ledger() *pricing.Ledger { return b.ledger }
 func (b *Broker) Repo() sla.Repository { return b.repo }
 
 // Events returns the retained activity log, oldest first. The log is a
-// bounded ring (Config.EventLogCap): under sustained load the oldest
-// entries are evicted; EventsTotal reports how many were ever logged.
-// The returned slice is a shared immutable snapshot — callers must not
-// modify it. Repeated calls with no intervening events return the same
-// snapshot without copying the ring again.
-func (b *Broker) Events() []Event {
-	b.evMu.Lock()
-	defer b.evMu.Unlock()
-	if b.evSnap != nil && b.evSnapTotal == b.evTotal {
-		return b.evSnap
-	}
-	out := make([]Event, 0, len(b.evBuf))
-	if len(b.evBuf) < cap(b.evBuf) {
-		out = append(out, b.evBuf...)
-	} else {
-		out = append(out, b.evBuf[b.evNext:]...)
-		out = append(out, b.evBuf[:b.evNext]...)
-	}
-	b.evSnap = out
-	b.evSnapTotal = b.evTotal
-	return out
-}
+// ring of DefEventLogCap events: under sustained load the oldest entries
+// are evicted; EventsTotal reports how many were ever logged. Messages
+// are rendered on the first call that sees them. The returned slice is a
+// shared immutable snapshot — callers must not modify it. Repeated calls
+// with no intervening events return the same snapshot without copying
+// the ring again.
+func (b *Broker) Events() []Event { return b.events.events() }
 
 // EventsTotal returns how many activity-log events were ever logged,
 // including those evicted from the ring.
-func (b *Broker) EventsTotal() int64 {
-	b.evMu.Lock()
-	defer b.evMu.Unlock()
-	return b.evTotal
-}
+func (b *Broker) EventsTotal() int64 { return b.events.count() }
 
 // SetDebugHook installs fn to run after every mutating broker operation
 // (nil removes it). It is meant for invariant checking in tests and
@@ -751,23 +692,16 @@ func (b *Broker) PruneTerminal() int {
 }
 
 // logf appends to the activity log ring, evicting the oldest entry when
-// full. The log has its own leaf mutex, so this is safe with or without a
-// shard lock held.
+// full. The message is rendered lazily, so args must be values (see
+// eventRing). The ring has its own leaf mutex, so this is safe with or
+// without a shard lock held.
 func (b *Broker) logf(kind string, id sla.ID, format string, args ...any) {
-	e := Event{At: b.clock.Now(), Kind: kind, SLA: id, Msg: fmt.Sprintf(format, args...)}
-	b.evMu.Lock()
-	if len(b.evBuf) < cap(b.evBuf) {
-		b.evBuf = append(b.evBuf, e)
-	} else {
-		b.evBuf[b.evNext] = e
-	}
-	b.evNext = (b.evNext + 1) % cap(b.evBuf)
-	b.evTotal++
-	b.evMu.Unlock()
+	b.events.add(Event{At: b.clock.Now(), Kind: kind, SLA: id}, format, args)
 }
 
-// logLocked appends to the activity log from inside a shard critical
-// section (same leaf lock as logf; the name records the calling context).
-func (b *Broker) logLocked(kind string, id sla.ID, format string, args ...any) {
-	b.logf(kind, id, format, args...)
+// logTransition is logf for an event that moved session id from state
+// from to state to (from is zero at creation), changing its grant by
+// delta.
+func (b *Broker) logTransition(kind string, id sla.ID, from, to sla.State, delta resource.Capacity, format string, args ...any) {
+	b.events.add(Event{At: b.clock.Now(), Kind: kind, SLA: id, From: from, To: to, Delta: delta}, format, args)
 }

@@ -605,43 +605,27 @@ func TestEventsSnapshotReuse(t *testing.T) {
 // TestEventsRingWrapSnapshot checks snapshot correctness across ring
 // eviction: oldest-first order, bounded length, accurate total.
 func TestEventsRingWrapSnapshot(t *testing.T) {
-	clock := clockx.NewManual(t0)
-	pool := resource.NewPool("mini", resource.Capacity{CPU: 4})
-	g := gara.NewSystem()
-	g.RegisterManager(gara.NewComputeManager(pool))
-	b, err := NewBroker(Config{
-		Domain:      "mini",
-		Clock:       clock,
-		Plan:        CapacityPlan{Guaranteed: resource.Capacity{CPU: 4}},
-		GARA:        g,
-		EventLogCap: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(b.Close)
-
-	for i := 1; i <= 6; i++ {
-		b.logf("test", "", "event %d", i)
+	r := newEventRing(4)
+	for i := 1; i <= 10; i++ {
+		r.add(Event{Kind: "test", At: t0.Add(time.Duration(i) * time.Second)}, "event %d", []any{i})
 		// Each snapshot taken between writes must stay internally
 		// consistent even while the ring wraps.
-		ev := b.Events()
-		if len(ev) > 4 {
+		if ev := r.events(); len(ev) > 4 {
 			t.Fatalf("snapshot len %d exceeds cap 4", len(ev))
 		}
 	}
-	ev := b.Events()
+	ev := r.events()
 	if len(ev) != 4 {
 		t.Fatalf("len = %d, want 4", len(ev))
 	}
 	for i, e := range ev {
-		want := fmt.Sprintf("event %d", i+3) // events 3..6 survive
+		want := fmt.Sprintf("event %d", i+7) // events 7..10 survive, oldest first
 		if e.Msg != want {
 			t.Errorf("ev[%d].Msg = %q, want %q", i, e.Msg, want)
 		}
 	}
-	if total := b.EventsTotal(); total != 6 {
-		t.Errorf("EventsTotal = %d, want 6", total)
+	if total := r.count(); total != 10 {
+		t.Errorf("count = %d, want 10", total)
 	}
 }
 

@@ -492,8 +492,8 @@ func (b *Broker) admitBatch(sh *shard, entries []*intakeEntry) {
 
 	// Stage 4 — install every surviving member under ONE route-lock and
 	// ONE shard-lock acquisition, with per-session confirm timers (so
-	// Accept / Close / prune semantics stay identical) and one activity-
-	// log line for the batch.
+	// Accept / Close / prune semantics stay identical), the direct path's
+	// per-session offer event, and one activity-log line for the batch.
 	if len(installees) > 0 {
 		ids := make([]sla.ID, 0, len(installees))
 		b.routeMu.Lock()
@@ -559,8 +559,9 @@ func (b *Broker) admitBatch(sh *shard, entries []*intakeEntry) {
 				Expires:    expires,
 				ServiceKey: m.e.key,
 			}
+			b.logOffer(id, allocated, m.price, expires)
 		}
-		b.logLocked("offer", "", "group-commit: %d offer(s) proposed in one batch (shard %d)",
+		b.logf("offer", "", "group-commit: %d offer(s) proposed in one batch (shard %d)",
 			len(installees), sh.index)
 		sh.mu.Unlock()
 
@@ -572,7 +573,6 @@ func (b *Broker) admitBatch(sh *shard, entries []*intakeEntry) {
 		for i := range installees {
 			m := &installees[i]
 			b.met.requests.Inc()
-			b.trace(m.id, noState, sla.StateProposed, m.grant.Granted, "offer proposed")
 			m.e.ticket.fulfill(m.offer)
 		}
 	}
@@ -601,7 +601,6 @@ func (b *Broker) admitBatch(sh *shard, entries []*intakeEntry) {
 		switch {
 		case offer != nil:
 			b.met.requests.Inc()
-			b.trace(offer.SLA.ID, noState, sla.StateProposed, offer.SLA.Allocated, "offer proposed")
 			m.e.ticket.fulfill(offer)
 		case len(b.shards) > 1 && errors.Is(lastErr, ErrCannotHonor):
 			m.e.ticket.fail(fmt.Errorf("core: %d shard(s) tried, none can honor: %w", len(order), lastErr))

@@ -33,8 +33,9 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 		return gram.Job{}, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if s.doc.State != sla.StateEstablished {
+		state := s.doc.State
 		sh.mu.Unlock()
-		return gram.Job{}, fmt.Errorf("%w: %s is %s, want established", ErrBadState, id, s.doc.State)
+		return gram.Job{}, fmt.Errorf("%w: %s is %s, want established", ErrBadState, id, state)
 	}
 	service := s.doc.Service
 	end := s.doc.End
@@ -67,9 +68,9 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 		return gram.Job{}, err
 	}
 	s.job = job.ID
-	b.logLocked("invoke", id, "service %q launched as %s (pid %d), reservation claimed", service, job.ID, job.PID)
+	b.logTransition("invoke", id, sla.StateEstablished, sla.StateActive, resource.Capacity{},
+		"service %q launched as %s (pid %d), reservation claimed", service, job.ID, job.PID)
 	sh.mu.Unlock()
-	b.trace(id, sla.StateEstablished, sla.StateActive, resource.Capacity{}, "service invoked")
 	b.persist(id)
 	return job, nil
 }
@@ -96,8 +97,9 @@ func (b *Broker) Terminate(id sla.ID, reason string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if s.doc.State.Terminal() {
+		state := s.doc.State
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s already %s", ErrBadState, id, s.doc.State)
+		return fmt.Errorf("%w: %s already %s", ErrBadState, id, state)
 	}
 	if s.confirm != nil {
 		s.confirm.Stop()
@@ -195,12 +197,14 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if s.doc.State.Terminal() {
+		state := s.doc.State
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s already %s", ErrBadState, id, s.doc.State)
+		return fmt.Errorf("%w: %s already %s", ErrBadState, id, state)
 	}
 	if pred != nil && !pred(s) {
+		state := s.doc.State
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s is %s", ErrBadState, id, s.doc.State)
+		return fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	prevState := s.doc.State
 	released := s.doc.Allocated
@@ -214,7 +218,7 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 	}
 	handle := s.handle
 	delete(sh.promotions, id)
-	b.logLocked("clearing", id, "%s: %s", final, reason)
+	b.logTransition("clearing", id, prevState, final, released.Scale(-1), "%s: %s", final, reason)
 	// Release the grant while still holding sh.mu: the terminal
 	// transition and the release must be atomic, or a concurrent re-grant
 	// path (restore, optimizer, promotion) could slip between them and
@@ -237,7 +241,6 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 		}
 	}
 	b.met.teardownSeconds.Observe(time.Since(started).Seconds())
-	b.trace(id, prevState, final, released.Scale(-1), reason)
 	b.persist(id)
 	return nil
 }
@@ -334,10 +337,10 @@ func (b *Broker) restore(id sla.ID) error {
 		_ = s.doc.Transition(sla.StateActive)
 	}
 	newState := s.doc.State
-	b.logLocked("adapt", id, "restored to %v (scenario 2a)", target)
+	b.logTransition("adapt", id, prevState, newState, target.Sub(prevAlloc),
+		"restored to %v (scenario 2a)", target)
 	sh.mu.Unlock()
 	b.met.restored.Inc()
-	b.trace(id, prevState, newState, target.Sub(prevAlloc), "restored (scenario 2a)")
 	b.persist(id)
 	return nil
 }
@@ -423,7 +426,7 @@ func (b *Broker) rollbackAllocation(id sla.ID, c resource.Capacity, bill bool) {
 			s.doc.Price += delta
 		}
 		s.doc.Allocated = c
-		b.logLocked("adapt", id, "failed modify: allocator kept %v, reservation spec stale", c)
+		b.logf("adapt", id, "failed modify: allocator kept %v, reservation spec stale", c)
 	}
 	sh.mu.Unlock()
 	switch {
@@ -482,7 +485,7 @@ func (b *Broker) issuePromotions() {
 			}
 			sh.mu.Lock()
 			sh.promotions[c.id] = offer
-			b.logLocked("promotion", c.id, "offered upgrade %v -> %v at %.2f (list %.2f)",
+			b.logf("promotion", c.id, "offered upgrade %v -> %v at %.2f (list %.2f)",
 				offer.From, offer.To, offer.OfferPrice, offer.ListPrice)
 			sh.mu.Unlock()
 		}
@@ -552,10 +555,10 @@ func (b *Broker) AcceptPromotion(id sla.ID) error {
 	s.original = offer.To
 	s.doc.Price += offer.OfferPrice
 	state := s.doc.State
-	b.logLocked("promotion", id, "accepted: upgraded to %v for %.2f", offer.To, offer.OfferPrice)
+	b.logTransition("promotion", id, state, state, offer.To.Sub(offer.From),
+		"accepted: upgraded to %v for %.2f", offer.To, offer.OfferPrice)
 	sh.mu.Unlock()
 	b.met.promoted.Inc()
-	b.trace(id, state, state, offer.To.Sub(offer.From), "promotion accepted (scenario 2c)")
 	b.ledger.Record(pricing.Entry{
 		Kind: pricing.EntryPromotion, SLA: id, Amount: offer.OfferPrice,
 		At: b.clock.Now(), Note: "promotion accepted",

@@ -96,7 +96,6 @@ func (b *Broker) RequestService(req Request) (*Offer, error) {
 		return nil, err
 	}
 	b.met.requests.Inc()
-	b.trace(offer.SLA.ID, noState, sla.StateProposed, offer.SLA.Allocated, "offer proposed")
 	return offer, nil
 }
 
@@ -156,6 +155,12 @@ func (b *Broker) requestService(req Request) (*Offer, error) {
 		return nil, lastErr
 	}
 	return nil, fmt.Errorf("core: %d shard(s) tried, none can honor: %w", len(order), lastErr)
+}
+
+// logOffer records the creation of session id as a proposed offer.
+func (b *Broker) logOffer(id sla.ID, allocated resource.Capacity, price float64, expires time.Time) {
+	b.logTransition("offer", id, 0, sla.StateProposed, allocated,
+		"proposed %v at price %.2f (expires %s)", allocated, price, clockOfDay(expires))
 }
 
 // requestOnShard runs the negotiation phase against one shard: quality
@@ -288,8 +293,7 @@ func (b *Broker) requestOnShard(sh *shard, req Request, key registry.Key, floor 
 	sess.confirm = b.clock.AfterFunc(b.cfg.ConfirmWindow, func() {
 		b.expireOffer(id)
 	})
-	b.logLocked("offer", id, "proposed %v at price %.2f (expires %s)",
-		allocated, price, expires.Format("15:04:05"))
+	b.logOffer(id, allocated, price, expires)
 	// Snapshot the offer document before releasing the lock: once the
 	// confirm timer is armed, a concurrent clock advance can expire the
 	// offer and mutate doc at any moment.
@@ -477,10 +481,10 @@ func (b *Broker) degradeToFloor(id sla.ID) error {
 		_ = s.doc.Transition(sla.StateDegraded)
 	}
 	newState := s.doc.State
-	b.logLocked("adapt", id, "degraded to floor %v (scenario 1 compensation)", floor)
+	b.logTransition("adapt", id, prevState, newState, floor.Sub(prevAlloc),
+		"degraded to floor %v (scenario 1 compensation)", floor)
 	sh.mu.Unlock()
 	b.met.degraded.Inc()
-	b.trace(id, prevState, newState, floor.Sub(prevAlloc), "degraded to floor (scenario 1)")
 	b.persist(id)
 	return nil
 }
@@ -500,8 +504,9 @@ func (b *Broker) Accept(id sla.ID) error {
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if s.doc.State != sla.StateProposed {
+		state := s.doc.State
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s is %s", ErrBadState, id, s.doc.State)
+		return fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	if s.confirm != nil {
 		s.confirm.Stop()
@@ -512,11 +517,11 @@ func (b *Broker) Accept(id sla.ID) error {
 		return err
 	}
 	price := s.doc.Price
-	b.logLocked("sla", id, "established; resources committed; charged %.2f", price)
+	b.logTransition("sla", id, sla.StateProposed, sla.StateEstablished, resource.Capacity{},
+		"established; resources committed; charged %.2f", price)
 	sh.mu.Unlock()
 
 	b.met.accepted.Inc()
-	b.trace(id, sla.StateProposed, sla.StateEstablished, resource.Capacity{}, "offer accepted")
 	b.ledger.Charge(id, price, b.clock.Now(), "session charge")
 	b.persist(id)
 	return nil

@@ -53,8 +53,9 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if s.doc.State.Terminal() || s.doc.State == sla.StateProposed {
+		state := s.doc.State
 		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, s.doc.State)
+		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	class := s.doc.Class
 	oldSpec := s.doc.Spec.Clone()
@@ -131,7 +132,7 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 	if s.doc.State == sla.StateDegraded {
 		_ = s.doc.Transition(sla.StateActive)
 	}
-	b.logLocked("renegotiate", id, "QoS renegotiated %v -> %v (price %+.2f)", oldAlloc, granted, delta)
+	b.logf("renegotiate", id, "QoS renegotiated %v -> %v (price %+.2f)", oldAlloc, granted, delta)
 	sh.mu.Unlock()
 
 	switch {

@@ -21,7 +21,7 @@ import (
 // and the invariant debug hook.
 //
 // Lock discipline: sh.mu → sh.alloc.mu → (clock, ledger, pool, NRM), and
-// routeMu / beMu / evMu / debugMu are leaf locks. Cross-shard sweeps
+// routeMu / beMu / events.mu / debugMu are leaf locks. Cross-shard sweeps
 // (Close, Sessions, ExpireDue, the restore pass, session gauges) acquire
 // shard locks strictly in ascending shard-index order and never hold two
 // shard locks at once: each shard is locked, read, and unlocked before the

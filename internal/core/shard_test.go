@@ -16,8 +16,8 @@ import (
 
 // shardedBroker builds a CPU-only broker with the given shard count:
 // nodes total capacity split 60/20/20 like domainBroker, but with Shards
-// (and optionally EventLogCap) set.
-func shardedBroker(t *testing.T, shards int, nodes float64, tweak func(*Config)) *Broker {
+// set.
+func shardedBroker(t *testing.T, shards int, nodes float64) *Broker {
 	t.Helper()
 	clock := clockx.NewManual(t0)
 	pool := resource.NewPool("sharded", resource.Nodes(nodes))
@@ -31,7 +31,7 @@ func shardedBroker(t *testing.T, shards int, nodes float64, tweak func(*Config))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	b, err := NewBroker(Config{
 		Domain: "sharded",
 		Clock:  clock,
 		Plan: CapacityPlan{
@@ -43,11 +43,7 @@ func shardedBroker(t *testing.T, shards int, nodes float64, tweak func(*Config))
 		GARA:          g,
 		Shards:        shards,
 		ConfirmWindow: time.Hour,
-	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	b, err := NewBroker(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +79,7 @@ func TestCapacityPlanSplitExact(t *testing.T) {
 func TestShardedBrokerSpreadsLoad(t *testing.T) {
 	// 4 shards of 6 guaranteed CPU each; four 4-CPU sessions should land
 	// on four distinct shards under least-loaded placement.
-	b := shardedBroker(t, 4, 40, nil)
+	b := shardedBroker(t, 4, 40)
 	if b.ShardCount() != 4 {
 		t.Fatalf("ShardCount = %d", b.ShardCount())
 	}
@@ -135,7 +131,7 @@ func TestShardHintAndCrossShardFallback(t *testing.T) {
 	// 2 shards of 6 guaranteed CPU each. Pin a 5-CPU session to shard 0
 	// via the 1-based hint, then pin a second 5-CPU request there too: it
 	// cannot fit and must fall back to shard 1.
-	b := shardedBroker(t, 2, 20, nil)
+	b := shardedBroker(t, 2, 20)
 	req := func(client string, cpus float64, hint int) (*Offer, error) {
 		return b.RequestService(Request{
 			Service: "solver",
@@ -174,7 +170,7 @@ func TestShardedDeclineWrapsCapacityError(t *testing.T) {
 	// No shard's bound (6 guaranteed + 2 adaptive CPU) can hold 10 CPU,
 	// so the request is hopeless everywhere; the decline still satisfies
 	// errors.Is(…, ErrCannotHonor) like the monolithic broker's.
-	b := shardedBroker(t, 2, 20, nil)
+	b := shardedBroker(t, 2, 20)
 	_, err := b.RequestService(Request{
 		Service: "solver",
 		Client:  "too-big",
@@ -188,7 +184,7 @@ func TestShardedDeclineWrapsCapacityError(t *testing.T) {
 }
 
 func TestSingleShardDefault(t *testing.T) {
-	b := shardedBroker(t, 0, 20, nil)
+	b := shardedBroker(t, 0, 20)
 	if b.ShardCount() != 1 {
 		t.Fatalf("ShardCount = %d, want 1 for Shards=0", b.ShardCount())
 	}
@@ -199,7 +195,8 @@ func TestSingleShardDefault(t *testing.T) {
 
 func TestEventRingWraparound(t *testing.T) {
 	const cap = 16
-	b := shardedBroker(t, 1, 20, func(cfg *Config) { cfg.EventLogCap = cap })
+	b := shardedBroker(t, 1, 20)
+	b.events = newEventRing(cap)
 
 	// Each request logs at least one discovery event; push well past the
 	// ring capacity.

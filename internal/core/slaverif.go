@@ -74,8 +74,9 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if s.doc.State.Terminal() || s.doc.State == sla.StateProposed {
+		state := s.doc.State
 		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, s.doc.State)
+		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	doc := s.doc.Clone()
 	handle := s.handle
@@ -295,10 +296,10 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 					_ = s.doc.Transition(sla.StateDegraded)
 				}
 				newState := s.doc.State
-				b.logLocked("adapt", id, "switched to alternative QoS %v (scenario 3b)", alt)
+				b.logTransition("adapt", id, prevState, newState, alt.Sub(doc.Allocated),
+					"switched to alternative QoS %v (scenario 3b)", alt)
 				sh.mu.Unlock()
 				b.met.degraded.Inc()
-				b.trace(id, prevState, newState, alt.Sub(doc.Allocated), "alternative QoS (scenario 3b)")
 				b.persist(id)
 				return
 			}
@@ -335,10 +336,10 @@ func (b *Broker) recordViolation(id sla.ID) {
 	newState := s.doc.State
 	pen := s.doc.Penalty
 	count := s.violations
-	b.logLocked("violation", id, "SLA violation #%d detected", count)
+	b.logTransition("violation", id, prevState, newState, resource.Capacity{},
+		"SLA violation #%d detected", count)
 	sh.mu.Unlock()
 	b.met.violations.Inc()
-	b.trace(id, prevState, newState, resource.Capacity{}, fmt.Sprintf("SLA violation #%d", count))
 
 	if amount := pricing.PenaltyFor(pen, 0); amount > 0 {
 		b.ledger.Penalize(id, amount, b.clock.Now(), "SLA violation")

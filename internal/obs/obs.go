@@ -193,32 +193,18 @@ type family struct {
 	by    map[string]*series
 }
 
-// Registry holds an ordered set of metric families plus the lifecycle
-// trace ring. The zero-value-adjacent constructor is NewRegistry; a
-// nil *Registry is safe to call and returns nil (no-op) handles.
+// Registry holds an ordered set of metric families. The
+// zero-value-adjacent constructor is NewRegistry; a nil *Registry is
+// safe to call and returns nil (no-op) handles.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []string
-	trace    *Trace
 }
 
-// NewRegistry returns an empty registry with a lifecycle trace ring of
-// DefTraceCapacity events.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		families: make(map[string]*family),
-		trace:    NewTrace(DefTraceCapacity),
-	}
-}
-
-// Trace returns the registry's lifecycle trace ring. Safe on a nil
-// receiver (returns nil, whose Add is a no-op).
-func (r *Registry) Trace() *Trace {
-	if r == nil {
-		return nil
-	}
-	return r.trace
+	return &Registry{families: make(map[string]*family)}
 }
 
 // renderLabels turns ("k","v","k2","v2") pairs into `{k="v",k2="v2"}`.

@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterNilSafe(t *testing.T) {
@@ -33,7 +31,6 @@ func TestCounterNilSafe(t *testing.T) {
 		t.Fatal("nil registry returned non-nil handles")
 	}
 	r.GaugeFunc("x", "", func() float64 { return 1 })
-	r.Trace().Add(TraceEvent{})
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,54 +176,6 @@ func TestExpositionFormat(t *testing.T) {
 	// Families appear in registration order.
 	if strings.Index(out, "gqosm_ops_total") > strings.Index(out, "gqosm_load") {
 		t.Fatal("families out of registration order")
-	}
-}
-
-func TestTraceWraparound(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 10; i++ {
-		tr.Add(TraceEvent{Session: fmt.Sprintf("s%d", i), At: time.Unix(int64(i), 0)})
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d", tr.Total())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := fmt.Sprintf("s%d", 6+i); ev.Session != want {
-			t.Fatalf("event %d = %q, want %q (oldest-first)", i, ev.Session, want)
-		}
-	}
-}
-
-func TestTracePartialFill(t *testing.T) {
-	tr := NewTrace(8)
-	tr.Add(TraceEvent{Session: "a"})
-	tr.Add(TraceEvent{Session: "b"})
-	evs := tr.Events()
-	if len(evs) != 2 || evs[0].Session != "a" || evs[1].Session != "b" {
-		t.Fatalf("events = %+v", evs)
-	}
-}
-
-func TestTraceConcurrent(t *testing.T) {
-	tr := NewTrace(16)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tr.Add(TraceEvent{Session: "x"})
-				_ = tr.Events()
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.Total() != 2000 {
-		t.Fatalf("total = %d", tr.Total())
 	}
 }
 

@@ -403,7 +403,7 @@ func RunRestartChaos(cfg RestartChaosConfig) (*RestartResult, error) {
 	appends, _, snapshots := cluster.Broker.WALStats()
 	res.WALRecords = appends
 	res.WALSnapshots = snapshots
-	res.RecoveryP95MS = percentileFloat(recoveryMS, 0.95)
+	res.RecoveryP95MS = percentile(sortedCopy(recoveryMS), 0.95)
 	if cfg.Intake {
 		res.Intake = true
 		submitted := cfg.Obs.Counter("gqosm_intake_submitted_total",
@@ -415,21 +415,4 @@ func RunRestartChaos(cfg RestartChaosConfig) (*RestartResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// percentileFloat is the nearest-rank percentile of vs (0 when empty).
-func percentileFloat(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

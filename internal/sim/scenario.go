@@ -609,14 +609,20 @@ func summarizeLatency(ms []float64) *LatencySummary {
 	if len(ms) == 0 {
 		return nil
 	}
-	s := append([]float64(nil), ms...)
-	sort.Float64s(s)
+	s := sortedCopy(ms)
 	return &LatencySummary{
 		P50MS:   percentile(s, 0.50),
 		P95MS:   percentile(s, 0.95),
 		P99MS:   percentile(s, 0.99),
 		Samples: len(s),
 	}
+}
+
+// sortedCopy returns an ascending copy of v, the input percentile reads.
+func sortedCopy(v []float64) []float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	return s
 }
 
 // percentile reads the nearest-rank percentile from an ascending slice.

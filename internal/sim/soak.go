@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
 )
 
 // This file is the long-run soak harness: RunSoak replays a scenario for
@@ -167,8 +166,8 @@ func judge(stats *SoakStats, cfg SoakConfig) {
 		}
 	}
 	half := len(p99s) / 2
-	stats.P99FirstHalfMS = medianOf(p99s[:half])
-	stats.P99LastHalfMS = medianOf(p99s[half:])
+	stats.P99FirstHalfMS = percentile(sortedCopy(p99s[:half]), 0.5)
+	stats.P99LastHalfMS = percentile(sortedCopy(p99s[half:]), 0.5)
 
 	if lim := stats.GoroutinesStart + cfg.GoroutineSlack; stats.GoroutinesMax > lim {
 		stats.Problems = append(stats.Problems,
@@ -192,14 +191,4 @@ func judge(stats *SoakStats, cfg SoakConfig) {
 				stats.P99FirstHalfMS, stats.P99LastHalfMS, cfg.P99Factor*first))
 	}
 	stats.Stable = len(stats.Problems) == 0
-}
-
-// medianOf returns the median of an unsorted slice (0 when empty).
-func medianOf(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	return percentile(s, 0.5)
 }

@@ -3,6 +3,10 @@
 // the three QoS classes (§5.1), adaptation options negotiated into the
 // agreement (§5.2, Table 4), composite SLAs built from sub-SLAs (§5.6),
 // the SLA lifecycle, and a repository for established agreements (§3.1).
+//
+// A Repository takes ownership of every document put into it — the
+// caller hands the document over and keeps no reference — and hands out
+// copies from Get and List, so stored documents never alias live state.
 package sla
 
 import (

@@ -1,11 +1,8 @@
 package sla
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 )
@@ -13,8 +10,12 @@ import (
 // Repository persists established SLAs "for subsequent reference" (§3.1:
 // "the AQoS establishes a final SLA document and saves it in the SLA
 // repository"). Implementations must be safe for concurrent use.
+//
+// Ownership: Put takes ownership of d — the caller must not read or
+// modify d after the call — so a repository may store it without
+// copying. Get and List hand out copies the caller owns.
 type Repository interface {
-	// Put stores (or replaces) a document.
+	// Put stores (or replaces) a document, taking ownership of d.
 	Put(d *Document) error
 	// Get returns a copy of the document with the given ID.
 	Get(id ID) (*Document, error)
@@ -39,14 +40,14 @@ func NewMemoryRepository() *MemoryRepository {
 	return &MemoryRepository{docs: make(map[ID]*Document)}
 }
 
-// Put implements Repository.
+// Put implements Repository. It stores d itself, not a copy.
 func (r *MemoryRepository) Put(d *Document) error {
 	if d.ID == "" {
 		return errors.New("sla: cannot store document with empty ID")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.docs[d.ID] = d.Clone()
+	r.docs[d.ID] = d
 	return nil
 }
 
@@ -87,105 +88,3 @@ func (r *MemoryRepository) List(filter func(*Document) bool) ([]*Document, error
 }
 
 var _ Repository = (*MemoryRepository)(nil)
-
-// FileRepository is a Repository that persists each SLA as a Table-4 XML
-// file in a directory, one file per agreement, mirroring the paper's "SLA
-// repository". It keeps a write-through in-memory cache; adaptation
-// options and lifecycle state that the Table-4 wire format does not carry
-// survive only in the cache, so FileRepository is suitable for durable
-// archival plus warm restart of established agreements.
-type FileRepository struct {
-	dir string
-
-	mu    sync.Mutex
-	cache *MemoryRepository
-}
-
-// NewFileRepository opens (creating if needed) a directory-backed
-// repository and loads any existing documents.
-func NewFileRepository(dir string) (*FileRepository, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sla: create repository dir: %w", err)
-	}
-	r := &FileRepository{dir: dir, cache: NewMemoryRepository()}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("sla: read repository dir: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".xml" {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("sla: read %s: %w", e.Name(), err)
-		}
-		var doc ServiceSLAXML
-		if err := xml.Unmarshal(data, &doc); err != nil {
-			return nil, fmt.Errorf("sla: parse %s: %w", e.Name(), err)
-		}
-		d, err := DecodeDocument(doc)
-		if err != nil {
-			return nil, fmt.Errorf("sla: decode %s: %w", e.Name(), err)
-		}
-		if err := r.cache.Put(d); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// Put implements Repository.
-func (r *FileRepository) Put(d *Document) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.cache.Put(d); err != nil {
-		return err
-	}
-	data, err := MarshalIndent(EncodeDocument(d))
-	if err != nil {
-		return fmt.Errorf("sla: encode %s: %w", d.ID, err)
-	}
-	path := r.path(d.ID)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("sla: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("sla: commit %s: %w", path, err)
-	}
-	return nil
-}
-
-// Get implements Repository.
-func (r *FileRepository) Get(id ID) (*Document, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cache.Get(id)
-}
-
-// Delete implements Repository.
-func (r *FileRepository) Delete(id ID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.cache.Delete(id); err != nil {
-		return err
-	}
-	if err := os.Remove(r.path(id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("sla: remove %s: %w", id, err)
-	}
-	return nil
-}
-
-// List implements Repository.
-func (r *FileRepository) List(filter func(*Document) bool) ([]*Document, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cache.List(filter)
-}
-
-func (r *FileRepository) path(id ID) string {
-	return filepath.Join(r.dir, string(id)+".xml")
-}
-
-var _ Repository = (*FileRepository)(nil)

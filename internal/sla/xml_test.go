@@ -280,58 +280,3 @@ func TestMemoryRepository(t *testing.T) {
 		t.Errorf("double Delete err = %v", err)
 	}
 }
-
-func TestFileRepositoryPersists(t *testing.T) {
-	dir := t.TempDir()
-	r, err := NewFileRepository(dir)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	d := guaranteedDoc()
-	d.Allocated = d.Spec.Floor()
-	if err := r.Put(d); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-
-	// Reopen and check the document survived.
-	r2, err := NewFileRepository(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	got, err := r2.Get(d.ID)
-	if err != nil {
-		t.Fatalf("Get after reopen: %v", err)
-	}
-	if got.Class != ClassGuaranteed {
-		t.Errorf("class = %v", got.Class)
-	}
-	if !got.Allocated.Equal(d.Allocated) {
-		t.Errorf("allocated = %v, want %v", got.Allocated, d.Allocated)
-	}
-
-	if err := r2.Delete(d.ID); err != nil {
-		t.Fatal(err)
-	}
-	r3, err := NewFileRepository(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r3.Get(d.ID); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get after delete+reopen err = %v", err)
-	}
-}
-
-func TestFileRepositoryIgnoresForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	r, err := NewFileRepository(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put(guaranteedDoc()); err != nil {
-		t.Fatal(err)
-	}
-	all, err := r.List(nil)
-	if err != nil || len(all) != 1 {
-		t.Fatalf("List = %v, %v", all, err)
-	}
-}

@@ -2,18 +2,21 @@
 // the Tomcat/Axis stack of the paper's testbed (§6, Fig. 5: "Clients send
 // XML messages to the AQoS broker using SOAP over HTTP"). It provides
 // envelope marshaling, a server mux that dispatches on the body element's
-// local name, and a client.
+// local name, a server loop with graceful shutdown, and a client.
 package soapx
 
 import (
 	"bytes"
+	"context"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"time"
 
 	"gqosm/internal/faultx"
 )
@@ -161,6 +164,35 @@ type Mux struct {
 	// "soapx.server"); nil injects nothing. Set at assembly time,
 	// before the mux serves requests.
 	Faults *faultx.Injector
+}
+
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so idle or slow connections cannot pin a server.
+	readHeaderTimeout = 10 * time.Second
+	// shutdownGrace bounds how long Serve waits for in-flight requests.
+	shutdownGrace = 10 * time.Second
+)
+
+// Serve answers HTTP on ln with h until ctx is done or the server fails.
+// Once ctx is done it stops accepting connections and waits up to
+// shutdownGrace for in-flight requests before returning.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownGrace)
+	defer cancel()
+	err := srv.Shutdown(shutdownCtx)
+	if serveErr := <-errc; !errors.Is(serveErr, http.ErrServerClosed) {
+		err = errors.Join(err, serveErr)
+	}
+	return err
 }
 
 // NewMux returns an empty mux.

@@ -1,13 +1,16 @@
 package soapx
 
 import (
+	"context"
 	"encoding/xml"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 type pingReq struct {
@@ -332,5 +335,41 @@ func TestHandleHTTPSubtreeShadowsSOAP(t *testing.T) {
 	var pr pingResp
 	if err := c.Call(&pingReq{Message: "hi"}, &pr); err != nil || pr.Echo != "soap" {
 		t.Errorf("SOAP beside subtree mount: echo=%q err=%v", pr.Echo, err)
+	}
+}
+
+// TestServeStopsOnCancel: Serve answers until its context is canceled,
+// then returns nil once the listener is closed.
+func TestServeStopsOnCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- Serve(ctx, ln, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			io.WriteString(w, "up")
+		}))
+	}()
+	url := "http://" + ln.Addr().String() + "/"
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve = %v after cancel, want nil", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("Serve did not return after cancel")
+	}
+	if _, err := http.Get(url); err == nil {
+		t.Error("listener still answers after Serve returned")
 	}
 }
