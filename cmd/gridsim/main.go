@@ -63,16 +63,16 @@ func run(args []string) error {
 		seed        = fs.Int64("seed", 2003, "workload seed")
 		verbose     = fs.Bool("v", false, "include broker activity logs")
 		parallel    = fs.Bool("parallel", false, "run the concurrent admission stress instead of an experiment")
-		clients     = fs.Int("clients", 8, "concurrent clients for -parallel")
-		ops         = fs.Int("ops", 10000, "total lifecycle operations for -parallel")
-		phases      = fs.Int("phases", 10, "quiesce points for -parallel")
-		shards      = fs.Int("shards", 1, "broker shards for the -parallel run (serial baseline stays monolithic)")
+		clients     = fs.Int("clients", 8, "clients for -parallel/-chaos")
+		ops         = fs.Int("ops", 10000, "total lifecycle operations for -parallel/-chaos")
+		phases      = fs.Int("phases", 10, "quiesce points for -parallel/-chaos")
+		shards      = fs.Int("shards", 1, "broker shards for -parallel/-chaos (the -parallel serial baseline stays monolithic)")
 		jsonOut     = fs.Bool("json", false, "emit -parallel/-chaos results as JSON")
 		chaos       = fs.Bool("chaos", false, "replay the stress workload under deterministic fault injection")
 		faultRate   = fs.Float64("faultrate", 0.2, "per-site fault injection probability for -chaos")
 		restarts    = fs.Int("restarts", 0, "with -chaos: kill and WAL-recover the broker this many times mid-workload")
 		walDir      = fs.String("wal-dir", "", "WAL directory for -chaos -restarts (default: a temporary one)")
-		cache       = fs.String("cache", "on", "hot-path caches for -parallel: on|off")
+		cache       = fs.String("cache", "on", "hot-path caches for -parallel/-chaos: on|off")
 		intake      = fs.Bool("intake", false, "route admissions through the group-commit intake for -parallel/-chaos runs")
 		transport   = fs.String("transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
 		intakeBench = fs.Bool("intake-bench", false, "measure amortized admission cost: direct vs batched intake vs JSON/HTTP transport")
@@ -98,6 +98,12 @@ func run(args []string) error {
 	}
 	if *transport != "" && !*parallel {
 		return fmt.Errorf("-transport needs -parallel (the chaos replays stay in-process for determinism)")
+	}
+	if *restarts > 0 && !*chaos {
+		return fmt.Errorf("-restarts needs -chaos")
+	}
+	if *walDir != "" && *restarts == 0 {
+		return fmt.Errorf("-wal-dir needs -chaos -restarts (only the restart replay journals to disk)")
 	}
 	if *clusterN > 0 {
 		// -clients doubles as the cluster workload size, but its stress
@@ -126,17 +132,13 @@ func run(args []string) error {
 	if *soak {
 		return fmt.Errorf("-soak needs -scenario")
 	}
-	if *chaos {
-		if *restarts > 0 {
-			return runRestartChaos(*clients, *ops, *restarts, *shards, *seed, *faultRate, *walDir, *intake, *jsonOut)
+	if *chaos || *parallel {
+		cfg := sim.StressConfig{Clients: *clients, Ops: *ops, Phases: *phases, Seed: *seed, Shards: *shards,
+			DisableCaches: disableCaches, Intake: *intake, Transport: *transport}
+		if *chaos {
+			cfg.FaultRate, cfg.Restarts, cfg.WALDir = *faultRate, *restarts, *walDir
 		}
-		return runChaos(*clients, *ops, *phases, *shards, *seed, *faultRate, *intake, *jsonOut)
-	}
-	if *restarts > 0 {
-		return fmt.Errorf("-restarts needs -chaos")
-	}
-	if *parallel {
-		return runParallel(*clients, *ops, *phases, *shards, *seed, *jsonOut, disableCaches, *intake, *transport)
+		return runStress(cfg, !*chaos, *jsonOut)
 	}
 
 	runners := map[string]func(int64, bool) error{
@@ -169,159 +171,101 @@ func run(args []string) error {
 	return r(*seed, *verbose)
 }
 
-// runParallel drives the concurrent admission stress (sim.RunParallel)
-// against a serial baseline with the same total work, checking the
-// invariant suite at every quiesce point. Each run gets its own metrics
-// registry so the serial baseline's counters do not pollute the parallel
-// run's. The JSON form is the shape recorded in BENCH_parallel.json (see
-// README.md "Benchmark artifact").
-func runParallel(clients, ops, phases, shards int, seed int64, jsonOut, disableCaches bool, intake bool, transport string) error {
-	serialObs, parObs := obs.NewRegistry(), obs.NewRegistry()
-	// The serial baseline always takes the direct in-process path; -intake
-	// and -transport only shape the parallel run, so the comparison shows
-	// what the batch path / wire cost changes.
-	serial, err := sim.RunParallel(sim.ParallelConfig{
-		Clients: 1, Ops: ops, Phases: phases, Seed: seed, Obs: serialObs,
-		DisableCaches: disableCaches,
-	})
-	if err != nil {
-		return fmt.Errorf("serial baseline: %w", err)
-	}
-	par, err := sim.RunParallel(sim.ParallelConfig{
-		Clients: clients, Ops: ops, Phases: phases, Seed: seed, Shards: shards, Obs: parObs,
-		DisableCaches: disableCaches, Intake: intake, Transport: transport,
-	})
-	if err != nil {
-		return fmt.Errorf("parallel stress: %w", err)
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(map[string]*sim.ParallelResult{
-			"serial": serial, "parallel": par,
-		}, "", "  ")
+// runStress drives the stress workload (sim.RunStress). With baseline
+// (gridsim -parallel) it first runs a one-client, in-process, unsharded
+// baseline over the same total work and reports both runs, keyed
+// "serial" and "parallel": the shape recorded in BENCH_parallel.json.
+// Otherwise it reports the one run: the shape recorded in
+// BENCH_chaos.json and BENCH_recovery.json. Each run has its own
+// metrics registry. Every report is emitted before the gates —
+// invariant_violations == 0, capacity_restored, and digest_matches ==
+// restarts — so CI always has it; see README.md "Stress artifact".
+func runStress(cfg sim.StressConfig, baseline, jsonOut bool) error {
+	cfg.Obs = obs.NewRegistry()
+	names := []string{"stress"}
+	reports := map[string]*sim.StressReport{}
+	if baseline {
+		names = []string{"serial", "parallel"}
+		serial, err := sim.RunStress(sim.StressConfig{Clients: 1, Ops: cfg.Ops, Phases: cfg.Phases,
+			Seed: cfg.Seed, DisableCaches: cfg.DisableCaches})
 		if err != nil {
-			return err
+			return fmt.Errorf("serial baseline: %w", err)
 		}
-		fmt.Println(string(out))
-		return nil
+		reports["serial"] = serial
 	}
-	header("PAR", "concurrent admission stress: serial baseline vs parallel clients")
-	for _, row := range []struct {
-		name string
-		r    *sim.ParallelResult
-	}{{"serial", serial}, {"parallel", par}} {
-		fmt.Printf("%-9s clients=%-3d shards=%-2d ops=%-6d requested=%-5d admitted=%-5d terminated=%-5d checks=%d  %8.0f ops/s\n",
-			row.name, row.r.Clients, row.r.Shards, row.r.Ops, row.r.Requested,
-			row.r.Admitted, row.r.Terminated, row.r.Checks, row.r.OpsPerSec)
-		fmt.Printf("%-9s admission latency p50=%.4fms p95=%.4fms p99=%.4fms over %.1fms\n",
-			"", row.r.AdmitP50MS, row.r.AdmitP95MS, row.r.AdmitP99MS, row.r.ElapsedMS)
-		if row.r.CacheHitRate > 0 {
-			fmt.Printf("%-9s discovery cache hit rate %.1f%%\n", "", row.r.CacheHitRate*100)
-		}
-		if row.r.Intake {
-			fmt.Printf("%-9s intake: mean batch %.2f admissions/flush\n", "", row.r.IntakeBatchMean)
-		}
-		if row.r.Transport != "" {
-			fmt.Printf("%-9s transport: %s\n", "", row.r.Transport)
-		}
-		if row.r.Shards > 1 {
-			fmt.Printf("%-9s shard sessions=%v load=%v\n", "", row.r.ShardSessions, row.r.ShardUtilization)
-		}
-	}
-	fmt.Println("\nall invariant checks passed; no capacity lost or double-spent")
-	fmt.Println("\nparallel-run metrics snapshot:")
-	if err := parObs.WritePrometheus(os.Stdout); err != nil {
-		return err
-	}
-	return nil
-}
-
-// runChaos replays the stress workload under seeded fault injection
-// (sim.RunChaos). Every reported field is deterministic: the same seed,
-// fault rate and shard count yield a byte-identical JSON report. The
-// JSON form is the shape recorded in BENCH_chaos.json (see README.md
-// "Chaos artifact"); CI gates on invariant_violations == 0.
-func runChaos(clients, ops, phases, shards int, seed int64, faultRate float64, intake, jsonOut bool) error {
-	res, err := sim.RunChaos(sim.ChaosConfig{
-		Clients: clients, Ops: ops, Phases: phases, Seed: seed,
-		FaultRate: faultRate, Shards: shards, Intake: intake,
-	})
+	name := names[len(names)-1]
+	rep, err := sim.RunStress(cfg)
 	if err != nil {
-		return fmt.Errorf("chaos: %w", err)
+		return fmt.Errorf("%s run: %w", name, err)
 	}
+	reports[name] = rep
+
 	if jsonOut {
-		out, err := json.MarshalIndent(res, "", "  ")
+		var v any = rep
+		if baseline {
+			v = reports
+		}
+		out, err := json.MarshalIndent(v, "", "  ")
 		if err != nil {
 			return err
 		}
 		fmt.Println(string(out))
 	} else {
-		header("CHAOS", "stress workload under deterministic fault injection")
-		fmt.Printf("seed=%d faultrate=%.2f shards=%d ops=%d\n", res.Seed, res.FaultRate, res.Shards, res.Ops)
-		fmt.Printf("requested=%d admitted=%d (%.1f%%) terminated=%d\n",
-			res.Requested, res.Admitted, 100*res.AdmitRate, res.Terminated)
-		fmt.Printf("faults=%d by kind=%v virtual p95=%.1fms\n",
-			res.FaultsInjected, res.FaultsByKind, res.VirtualP95MS)
-		fmt.Printf("retries=%d timeouts=%d unavailable=%d reconciled cancels=%d\n",
-			res.Retries, res.Timeouts, res.Unavailable, res.ReconciledCancels)
-		fmt.Printf("degradations=%d restorations=%d\n", res.Degradations, res.Restorations)
-		if res.Intake {
-			fmt.Printf("intake: mean batch %.2f admissions/flush\n", res.IntakeBatchMean)
+		header("STRESS", "client-schedule stress workload")
+		for _, name := range names {
+			printStress(name, reports[name])
 		}
-		fmt.Printf("invariant checks=%d violations=%d\n", res.Checks, res.InvariantViolations)
 	}
-	if res.InvariantViolations != 0 {
-		return fmt.Errorf("chaos run found %d invariant violation(s): %v",
-			res.InvariantViolations, res.Violations)
+	for _, name := range names {
+		r := reports[name]
+		switch {
+		case r.InvariantViolations != 0:
+			return fmt.Errorf("%s run found %d invariant violation(s): %v", name, r.InvariantViolations, r.Violations)
+		case !r.CapacityRestored:
+			return fmt.Errorf("%s run: capacity not restored after drain", name)
+		case r.StressRestarts != nil && r.DigestMatches != r.Restarts:
+			return fmt.Errorf("%s run: %d/%d recoveries matched the pre-kill digest", name, r.DigestMatches, r.Restarts)
+		}
+	}
+	if !jsonOut {
+		fmt.Println("\nall invariant checks passed; no capacity lost or double-spent")
+		fmt.Printf("\n%s-run metrics snapshot:\n", name)
+		return cfg.Obs.WritePrometheus(os.Stdout)
 	}
 	return nil
 }
 
-// runRestartChaos replays the chaos workload against a durable broker
-// that is killed and WAL-recovered -restarts times mid-run
-// (sim.RunRestartChaos). The JSON form is the shape recorded in
-// BENCH_recovery.json (see README.md "Recovery artifact"); the only
-// wall-clock field is recovery_p95_ms — CI strips it and diffs the rest
-// byte-for-byte across runs, and gates on invariant_violations == 0 and
-// capacity_restored == true.
-func runRestartChaos(clients, ops, restarts, shards int, seed int64, faultRate float64, walDir string, intake, jsonOut bool) error {
-	res, err := sim.RunRestartChaos(sim.RestartChaosConfig{
-		Clients: clients, Ops: ops, Restarts: restarts, Seed: seed,
-		FaultRate: faultRate, Shards: shards, WALDir: walDir, Intake: intake,
-	})
-	if err != nil {
-		return fmt.Errorf("restart chaos: %w", err)
+// printStress is the text form of one stress report.
+func printStress(name string, r *sim.StressReport) {
+	fmt.Printf("%-9s clients=%-3d shards=%-2d ops=%-6d requested=%-5d admitted=%-5d (%.1f%%) terminated=%-5d checks=%d violations=%d\n",
+		name, r.Clients, r.Shards, r.Ops, r.Requested, r.Admitted, 100*r.AdmitRate, r.Terminated,
+		r.Checks, r.InvariantViolations)
+	fmt.Printf("%-9s %8.0f ops/s, admission latency p50=%.4fms p95=%.4fms p99=%.4fms over %.1fms\n",
+		"", r.Wall.OpsPerSec, r.Wall.AdmitP50MS, r.Wall.AdmitP95MS, r.Wall.AdmitP99MS, r.Wall.ElapsedMS)
+	fmt.Printf("%-9s degradations=%d restorations=%d reconciled cancels=%d capacity restored=%v\n",
+		"", r.Degradations, r.Restorations, r.ReconciledCancels, r.CapacityRestored)
+	if r.CacheHitRate > 0 {
+		fmt.Printf("%-9s discovery cache hit rate %.1f%%\n", "", r.CacheHitRate*100)
 	}
-	if jsonOut {
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-	} else {
-		header("RESTART CHAOS", "durable broker killed and WAL-recovered mid-workload")
-		fmt.Printf("seed=%d faultrate=%.2f shards=%d ops=%d restarts=%d\n",
-			res.Seed, res.FaultRate, res.Shards, res.Ops, res.Restarts)
-		fmt.Printf("requested=%d admitted=%d terminated=%d\n", res.Requested, res.Admitted, res.Terminated)
-		fmt.Printf("replayed=%d records, snapshots at %v, recovery p95=%.2fms\n",
-			res.ReplayedRecords, res.SnapshotSeqs, res.RecoveryP95MS)
-		fmt.Printf("reconcile: adopted=%d refunded=%d parked cleared=%d\n",
-			res.Adopted, res.Refunded, res.ParkedCleared)
-		fmt.Printf("digest matches=%d/%d capacity restored=%v\n",
-			res.DigestMatches, res.Restarts, res.CapacityRestored)
-		fmt.Printf("invariant checks=%d violations=%d\n", res.Checks, res.InvariantViolations)
+	if r.Intake {
+		fmt.Printf("%-9s intake: mean batch %.2f admissions/flush\n", "", r.IntakeBatchMean)
 	}
-	if res.InvariantViolations != 0 {
-		return fmt.Errorf("restart chaos found %d invariant violation(s): %v",
-			res.InvariantViolations, res.Violations)
+	if r.Transport != "" {
+		fmt.Printf("%-9s transport: %s\n", "", r.Transport)
 	}
-	if !res.CapacityRestored {
-		return fmt.Errorf("restart chaos: capacity not restored after drain")
+	if r.Shards > 1 {
+		fmt.Printf("%-9s shard sessions=%v load=%v\n", "", r.ShardSessions, r.ShardUtilization)
 	}
-	if res.DigestMatches != res.Restarts {
-		return fmt.Errorf("restart chaos: %d/%d recoveries matched the pre-kill digest",
-			res.DigestMatches, res.Restarts)
+	if f := r.StressFaults; f != nil {
+		fmt.Printf("%-9s faults: rate=%.2f injected=%d by kind=%v virtual p95=%.1fms retries=%d timeouts=%d unavailable=%d\n",
+			"", f.FaultRate, f.FaultsInjected, f.FaultsByKind, f.VirtualP95MS, f.Retries, f.Timeouts, f.Unavailable)
 	}
-	return nil
+	if x := r.StressRestarts; x != nil {
+		fmt.Printf("%-9s restarts: digest matches=%d/%d replayed=%d records, snapshots at %v, recovery p95=%.2fms\n",
+			"", x.DigestMatches, x.Restarts, x.ReplayedRecords, x.SnapshotSeqs, r.Wall.RecoveryP95MS)
+		fmt.Printf("%-9s reconcile: adopted=%d refunded=%d parked cleared=%d; WAL records=%d snapshots=%d\n",
+			"", x.Adopted, x.Refunded, x.ParkedCleared, x.WALRecords, x.WALSnapshots)
+	}
 }
 
 // runCluster drives the multi-broker harness (sim.RunClusterSim): the

@@ -87,7 +87,7 @@ func TestParallelModeJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report map[string]*sim.ParallelResult
+	var report map[string]*sim.StressReport
 	if err := json.Unmarshal([]byte(out), &report); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, out)
 	}
@@ -96,29 +96,75 @@ func TestParallelModeJSON(t *testing.T) {
 		if r == nil {
 			t.Fatalf("missing %q in %s", key, out)
 		}
-		if r.Ops == 0 || r.Checks == 0 || r.OpsPerSec <= 0 {
+		if r.Schema != "bench_stress/v1" || r.Ops == 0 || r.Checks == 0 || !r.CapacityRestored {
 			t.Fatalf("%s result degenerate: %+v", key, r)
+		}
+		w := r.Wall
+		if w.OpsPerSec <= 0 || w.ElapsedMS <= 0 || w.AdmitP50MS <= 0 || w.AdmitP95MS <= 0 || w.AdmitP99MS <= 0 {
+			t.Errorf("%s wall block not positive: %+v", key, w)
 		}
 	}
 	if report["parallel"].Clients != 2 || report["serial"].Clients != 1 {
 		t.Fatalf("client counts wrong: %+v", report)
 	}
+}
 
-	// The schema must carry both the raw nanosecond Elapsed and the
-	// explicit-unit fields consumers should prefer.
-	var raw map[string]map[string]float64
-	if err := json.Unmarshal([]byte(out), &raw); err != nil {
-		t.Fatal(err)
+// stressJSON runs gridsim with args plus -json and decodes the one
+// stress report.
+func stressJSON(t *testing.T, args ...string) map[string]any {
+	t.Helper()
+	out, err := runCapture(t, append(args, "-json")...)
+	if err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, out)
 	}
-	for _, key := range []string{"serial", "parallel"} {
-		for _, field := range []string{"elapsed_ms", "admit_p50_ms", "admit_p95_ms", "admit_p99_ms"} {
-			if v := raw[key][field]; v <= 0 {
-				t.Errorf("%s.%s = %v, want > 0", key, field, v)
+	var m map[string]any
+	if err := json.Unmarshal([]byte(out), &m); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, out)
+	}
+	return m
+}
+
+// TestChaosCacheFlag: -cache reaches the fault replay. With caches on
+// the discovery cache answers most queries; -cache off reports no hits.
+func TestChaosCacheFlag(t *testing.T) {
+	args := []string{"-chaos", "-seed", "7", "-ops", "800", "-phases", "4"}
+	if on := stressJSON(t, args...); on["cache_hit_rate"] == nil {
+		t.Fatalf("-chaos with caches on reports no cache hits: %v", on)
+	}
+	off := stressJSON(t, append(args, "-cache", "off")...)
+	if v, ok := off["cache_hit_rate"]; ok {
+		t.Fatalf("-chaos -cache off reports cache_hit_rate %v", v)
+	}
+	if off["phases"] != float64(4) || off["faults_injected"] == nil {
+		t.Fatalf("-chaos report does not follow its flags: %v", off)
+	}
+}
+
+// TestChaosRestartsJSON: -restarts composes with -phases, and the
+// report carries the restart block with every recovery matching.
+func TestChaosRestartsJSON(t *testing.T) {
+	m := stressJSON(t, "-chaos", "-restarts", "2", "-seed", "3", "-ops", "800", "-phases", "4",
+		"-wal-dir", t.TempDir())
+	if m["phases"] != float64(4) || m["digest_matches"] != float64(2) || m["capacity_restored"] != true {
+		t.Fatalf("restart report: %v", m)
+	}
+	if m["checks"] != float64(4+2*2+1) {
+		t.Fatalf("checks = %v, want 9", m["checks"])
+	}
+}
+
+func TestStressFlagErrors(t *testing.T) {
+	for name, args := range map[string][]string{
+		"wal-dir-without-restarts":   {"-chaos", "-wal-dir", t.TempDir()},
+		"restarts-without-chaos":     {"-parallel", "-restarts", "2"},
+		"transport-without-parallel": {"-chaos", "-transport", "http"},
+		"bad-transport":              {"-parallel", "-transport", "smoke-signals"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := runCapture(t, args...); err == nil {
+				t.Fatalf("args %v: expected error", args)
 			}
-		}
-		if ms, ns := raw[key]["elapsed_ms"], raw[key]["Elapsed"]; ms < ns/1e6*0.999 || ms > ns/1e6*1.001 {
-			t.Errorf("%s: elapsed_ms %v inconsistent with Elapsed %v ns", key, ms, ns)
-		}
+		})
 	}
 }
 

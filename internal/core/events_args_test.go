@@ -100,7 +100,7 @@ func TestEventArgsAreValues(t *testing.T) {
 	if _, err := sim.RunE56(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunChaos(sim.ChaosConfig{Seed: 7, Ops: 2000, Phases: 4, Intake: true}); err != nil {
+	if _, err := sim.RunStress(sim.StressConfig{Seed: 7, Ops: 2000, Phases: 4, FaultRate: 0.2, Intake: true}); err != nil {
 		t.Fatal(err)
 	}
 	storm, ok := sim.LookupScenario("reneg-storm")

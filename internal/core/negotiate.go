@@ -476,6 +476,12 @@ func (b *Broker) degradeToFloor(id sla.ID) error {
 	}
 
 	sh.mu.Lock()
+	if s.doc.State.Terminal() {
+		// Torn down concurrently: applyAllocation left the final document
+		// unbilled, so the session did not end its life degraded.
+		sh.mu.Unlock()
+		return nil
+	}
 	s.degraded = true
 	if s.doc.State == sla.StateActive {
 		_ = s.doc.Transition(sla.StateDegraded)

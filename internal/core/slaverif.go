@@ -288,6 +288,11 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 		if _, err := b.allocateLive(id, alt, alt.Min(floor)); err == nil {
 			if err := b.applyAllocation(id, handle, spec, alt, true); err == nil {
 				sh.mu.Lock()
+				if s.doc.State.Terminal() {
+					// Torn down concurrently; see degradeToFloor.
+					sh.mu.Unlock()
+					return
+				}
 				s.degraded = true
 				prevState := s.doc.State
 				if s.doc.State == sla.StateActive {

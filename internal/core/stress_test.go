@@ -18,7 +18,7 @@ import (
 // pipeline: goroutine clients hammer a shared broker through the full
 // lifecycle while the invariant oracle watches for lost or double-spent
 // capacity. Run with -race; the schedules are deterministic per client
-// (sim.RunParallel) or tight enough to hit the historical races
+// (sim.RunStress) or tight enough to hit the historical races
 // (Accept vs offer expiry, Terminate vs re-grant) in a few thousand
 // iterations.
 
@@ -39,11 +39,15 @@ func TestParallelLifecycleStress10K(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-op stress skipped in -short mode")
 	}
-	res, err := sim.RunParallel(sim.ParallelConfig{
+	res, err := sim.RunStress(sim.StressConfig{
 		Clients: 8, Ops: 10000, Phases: 10, Seed: 1955,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.InvariantViolations != 0 || !res.CapacityRestored {
+		t.Fatalf("%d violation(s), capacity restored %v: %v",
+			res.InvariantViolations, res.CapacityRestored, res.Violations)
 	}
 	if res.Checks != 11 {
 		t.Fatalf("checks = %d, want 11", res.Checks)

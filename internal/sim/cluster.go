@@ -67,7 +67,7 @@ type ClusterConfig struct {
 	// the historical single direct attempt.
 	RMPolicy core.RetryPolicy
 	// Clock, when non-nil, drives the cluster instead of a fresh manual
-	// clock at the Epoch. The chaos harness passes the clock its fault
+	// clock at the Epoch. The stress driver passes the clock its fault
 	// injector was built on, so crash-recovery windows and session
 	// lifecycles advance together.
 	Clock *clockx.Manual

@@ -204,24 +204,7 @@ func RunClusterSim(cfg ClusterSimConfig) (*ClusterSimResult, error) {
 		Seed: cfg.Seed, Placement: cfg.Placement.String(), Window: cfg.Window,
 	}
 	record := func(stage string, err error) {
-		if err == nil {
-			return
-		}
-		if ie, ok := err.(*invariant.Error); ok {
-			res.InvariantViolations += len(ie.Violations)
-			// Keep the report bounded: the count gates CI, the first few
-			// violations carry the diagnosis.
-			for _, v := range ie.Violations {
-				if len(res.Violations) < 20 {
-					res.Violations = append(res.Violations, stage+": "+v.String())
-				}
-			}
-			return
-		}
-		res.InvariantViolations++
-		if len(res.Violations) < 20 {
-			res.Violations = append(res.Violations, stage+": "+err.Error())
-		}
+		recordViolations(&res.InvariantViolations, &res.Violations, stage, err)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -349,11 +332,7 @@ func RunClusterSim(cfg ClusterSimConfig) (*ClusterSimResult, error) {
 			invariant.CheckReservations(m.Broker, m.GARA, invariant.ReservationCheck{Final: true}))
 		for si, alloc := range m.Broker.Allocators() {
 			if users := alloc.GuaranteedUsers(); len(users) != 0 {
-				res.InvariantViolations++
-				if len(res.Violations) < 20 {
-					res.Violations = append(res.Violations, fmt.Sprintf(
-						"drain: broker %d shard %d: %d guaranteed grant(s) survive", i, si, len(users)))
-				}
+				record("drain", fmt.Errorf("broker %d shard %d: %d guaranteed grant(s) survive", i, si, len(users)))
 			}
 		}
 	}
@@ -468,22 +447,7 @@ func RunHandoffCrash(cfg HandoffCrashConfig) (*HandoffCrashResult, error) {
 
 	res := &HandoffCrashResult{Brokers: cfg.Brokers, Sessions: cfg.Sessions, Seed: cfg.Seed}
 	record := func(stage string, err error) {
-		if err == nil {
-			return
-		}
-		if ie, ok := err.(*invariant.Error); ok {
-			res.InvariantViolations += len(ie.Violations)
-			for _, v := range ie.Violations {
-				if len(res.Violations) < 20 {
-					res.Violations = append(res.Violations, stage+": "+v.String())
-				}
-			}
-			return
-		}
-		res.InvariantViolations++
-		if len(res.Violations) < 20 {
-			res.Violations = append(res.Violations, stage+": "+err.Error())
-		}
+		recordViolations(&res.InvariantViolations, &res.Violations, stage, err)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -20,7 +20,7 @@ import (
 
 // This file is the scenario harness: a library of named traffic shapes
 // (see scenarios.go) replayed against a full cluster by one serial,
-// deterministic driver. Scenarios reuse the chaos harness's determinism
+// deterministic driver. Scenarios reuse the serial stress runs' determinism
 // discipline — one manual clock, serial client behavior, seeded PRNG
 // streams with fixed draw order — so a (scenario, seed, shards) triple
 // produces a byte-identical report, except for the wall-clock latency
@@ -565,18 +565,7 @@ func (run *ScenarioRun) quiesce(stage string, final bool) {
 		run.Cluster.GRAM.PruneTerminal()
 	}
 	record := func(err error) {
-		if err == nil {
-			return
-		}
-		if ie, ok := err.(*invariant.Error); ok {
-			run.Report.InvariantViolations += len(ie.Violations)
-			for _, v := range ie.Violations {
-				run.Report.Violations = append(run.Report.Violations, stage+": "+v.String())
-			}
-			return
-		}
-		run.Report.InvariantViolations++
-		run.Report.Violations = append(run.Report.Violations, stage+": "+err.Error())
+		recordViolations(&run.Report.InvariantViolations, &run.Report.Violations, stage, err)
 	}
 	run.Report.Checks++
 	record(invariant.CheckAll(b, now, run.Cluster.Pool))
